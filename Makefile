@@ -41,7 +41,7 @@ test:
 # run under the race detector; this is what validates the worker-drain
 # guarantees of mc.Run and the graph's concurrent node scheduling.
 race:
-	$(GO) test -race . ./internal/pipeline ./internal/mc ./internal/gsim ./internal/vexsim ./internal/flowerr ./internal/drc ./internal/tmodel
+	$(GO) test -race . ./internal/pipeline ./internal/sta ./internal/mc ./internal/gsim ./internal/vexsim ./internal/flowerr ./internal/drc ./internal/tmodel
 
 # The fault-injection suite: corrupted SDF/DEF/netlist/placement/region
 # artifacts must yield typed errors, never panics.
@@ -71,25 +71,25 @@ crash-it:
 	$(GO) test -count=1 -run 'TestDaemonCrashRecovery|TestDaemonDegradedStore' ./cmd/vipiped
 
 # Service-engine benchmark. `make bench` runs the full sweep benchmark
-# and writes benchstat-friendly output to BENCH_service.json (go test
+# and writes benchstat-friendly output to bench/baseline.json (go test
 # -json stream; pipe `jq -r 'select(.Action=="output").Output'` into
 # benchstat, or read the Benchmark lines directly). bench-smoke is the
 # one-iteration ci variant: it proves the benchmark still compiles and
 # runs without paying measurement time.
 bench:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchmem . | tee BENCH_service.json
+	$(GO) test -json -run '^$$' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchmem . | tee bench/baseline.json
 
 bench-smoke:
 	$(GO) test -run 'TestFieldSweepWarmDirtySpeedup|TestWhatIfSpeedup' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchtime 1x .
 
 # Benchmark-regression gate: measure a fresh run into BENCH_fresh.json
 # (never overwriting the committed baseline) and compare the gated
-# warm-path speedup ratios against BENCH_service.json via
+# warm-path speedup ratios against bench/baseline.json via
 # cmd/benchdiff — ratios, not absolute ns/op, so a slower machine
 # passes but a >25% relative regression of a speedup fails.
 bench-diff:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkServiceScenarioSweep|BenchmarkFieldSweep|BenchmarkWhatIf' -benchmem . > BENCH_fresh.json
-	$(GO) run ./cmd/benchdiff -old BENCH_service.json -new BENCH_fresh.json
+	$(GO) run ./cmd/benchdiff -old bench/baseline.json -new BENCH_fresh.json
 
 # ci runs the ratio gate advisory (the leading `-`): benchmark noise
 # on shared runners must not block a merge, but the report still

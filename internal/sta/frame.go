@@ -17,11 +17,8 @@ type StageLane struct {
 }
 
 // Frame is the batch-friendly endpoint summary of one timing
-// evaluation: fixed-size per-stage lanes instead of RunInto's
-// per-sample map bookkeeping, so Monte Carlo loops can store sample
-// outcomes in flat arrays. All float results replicate RunInto's
-// addEndpoint expression sequence operation for operation and are
-// bit-identical to the corresponding Report fields.
+// evaluation: fixed-size per-stage lanes instead of a per-stage map,
+// so Monte Carlo loops can store sample outcomes in flat arrays.
 type Frame struct {
 	ClockPS    float64
 	CritPS     float64
@@ -38,20 +35,28 @@ type Frame struct {
 }
 
 // RunFrame performs a full timing analysis and summarizes every
-// endpoint into f. The per-stage worst slack/arrival/endpoint, the
-// global worst slack and CritPS are bit-identical to the Report an
-// Analyzer.RunInto call produces for the same clock and scale.
+// endpoint into f: the per-stage worst slack/arrival/endpoint, the
+// global worst slack and CritPS of the Report Analyzer.Run produces
+// for the same clock and scale.
 func (k *Kernel) RunFrame(f *Frame, clockPS float64, scale []float64) {
-	k.propagate(scale)
-	k.endpoints(f, clockPS, scale)
+	k.g.Propagate(k.arr, scale)
+	k.g.EvalEndpoints(f, nil, k.arr, clockPS, scale)
 }
 
-// endpoints evaluates every endpoint against the retained arrivals
-// into f. Flop D pins are scanned in ascending instance order, then
-// primary outputs — the same order RunInto appends Endpoints — so
-// tie-breaking on equal slacks matches too.
-func (k *Kernel) endpoints(f *Frame, clockPS float64, scale []float64) {
-	arr := k.arr
+// EvalEndpoints evaluates every timing endpoint against the arrivals
+// Propagate left in arr and summarizes them into f; nil scale means
+// nominal. Flop D pins are scanned in ascending instance order, then
+// primary outputs, so ties on equal slacks resolve to the first
+// endpoint in that order. Endpoints fed only by constants are
+// unconstrained and skipped. When eps is non-nil, *eps is overwritten
+// with the constrained endpoints in scan order.
+func (g *KernelView) EvalEndpoints(f *Frame, eps *[]Endpoint, arr []float64, clockPS float64, scale []float64) {
+	if scale == nil {
+		scale = g.ones
+	}
+	if eps != nil {
+		*eps = (*eps)[:0]
+	}
 	neg := math.Inf(-1)
 	f.ClockPS = clockPS
 	f.CritPS = 0
@@ -61,10 +66,20 @@ func (k *Kernel) endpoints(f *Frame, clockPS float64, scale []float64) {
 		f.Lanes[s] = StageLane{Stage: netlist.Stage(s), WorstSlack: math.Inf(1)}
 		f.Present[s] = false
 	}
-	add := func(inst int, t, need, slack float64, stage netlist.Stage) {
+	add := func(inst, net int, stage netlist.Stage, need float64) {
+		t := arr[net] + g.WirePS[net]
+		if t == neg {
+			return // constant path: unconstrained
+		}
+		slack := need - t
+		if eps != nil {
+			*eps = append(*eps, Endpoint{Inst: inst, Net: net, Stage: stage, Arrival: t, Slack: slack})
+		}
 		if slack < f.WorstSlack {
 			f.WorstSlack = slack
 		}
+		// crit keeps the t + (clock - need) form: simplifying it to
+		// t + setup*scale would change bits.
 		if crit := t + (clockPS - need); crit > f.CritPS {
 			f.CritPS = crit
 		}
@@ -76,74 +91,14 @@ func (k *Kernel) endpoints(f *Frame, clockPS float64, scale []float64) {
 			lane.WorstArr = t
 			lane.Endpoint = inst
 		}
-	}
-	for _, i := range k.seq {
-		need := clockPS - k.setup[i]*scale[i]
-		n := k.in0[i]
-		t := arr[n] + k.wire[n]
-		if t == neg {
-			continue // constant path: unconstrained
-		}
-		slack := need - t
-		add(i, t, need, slack, k.stage[i])
-		if slack < 0 {
-			f.Violators = append(f.Violators, int32(i))
+		if slack < 0 && inst != netlist.NoInst {
+			f.Violators = append(f.Violators, int32(inst))
 		}
 	}
-	for _, n := range k.pos {
-		t := arr[n] + k.wire[n]
-		if t == neg {
-			continue
-		}
-		add(netlist.NoInst, t, clockPS, clockPS-t, netlist.StageNone)
+	for _, i := range g.Seq {
+		add(i, int(g.in0[i]), g.Stage[i], clockPS-g.SetupPS[i]*scale[i])
+	}
+	for _, n := range g.POs {
+		add(netlist.NoInst, n, netlist.StageNone, clockPS)
 	}
 }
-
-// KernelView exposes the kernel's flattened timing structure to model
-// extractors (internal/tmodel) that need to walk the timing graph with
-// the exact characterized delays the kernel times with. All slices
-// alias kernel state and must be treated as read-only.
-type KernelView struct {
-	// Order is the combinational topological order (instance IDs).
-	Order []int
-	// BasePS / SetupPS are nominal per-instance delays; WirePS is the
-	// per-net wire delay.
-	BasePS  []float64
-	SetupPS []float64
-	WirePS  []float64
-	// PIs / POs are primary-input and primary-output net IDs; Seq
-	// lists sequential instances in ascending instance order.
-	PIs []int
-	POs []int
-	Seq []int
-	// Out is the driven net per instance; InPtr/InNet is the CSR of
-	// input nets per instance.
-	Out   []int32
-	InPtr []int32
-	InNet []int32
-	IsTie []bool
-	IsSeq []bool
-	Stage []netlist.Stage
-}
-
-// View returns a read-only view of the kernel's timing structure.
-func (k *Kernel) View() KernelView {
-	return KernelView{
-		Order:   k.order,
-		BasePS:  k.base,
-		SetupPS: k.setup,
-		WirePS:  k.wire,
-		PIs:     k.pis,
-		POs:     k.pos,
-		Seq:     k.seq,
-		Out:     k.out,
-		InPtr:   k.inPtr,
-		InNet:   k.inNet,
-		IsTie:   k.isTie,
-		IsSeq:   k.isSeq,
-		Stage:   k.stage,
-	}
-}
-
-// NumNets returns the net count the kernel times.
-func (k *Kernel) NumNets() int { return len(k.arr) }

@@ -3,9 +3,11 @@ package sta
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"vipipe/internal/cell"
+	"vipipe/internal/netlist"
 	"vipipe/internal/place"
 	"vipipe/internal/vex"
 )
@@ -123,5 +125,95 @@ func TestRerunNoChange(t *testing.T) {
 	}
 	if got := k.Rerun(clock, scale, []int{0, n / 2, n - 1}); math.Float64bits(got) != math.Float64bits(base) {
 		t.Fatalf("no-op rerun %v != base %v", got, base)
+	}
+}
+
+// TestSharedAnalyzerConcurrent shares one Analyzer, and so one timing
+// graph, between goroutines that run full reports and goroutines that
+// drive their own kernels through Run and Rerun. Every result must
+// match the one computed alone. Run it under -race.
+func TestSharedAnalyzerConcurrent(t *testing.T) {
+	a := coreAnalyzer(t)
+	n := a.NL.NumCells()
+	clock := a.Run(1e9, nil).CritPS
+	rng := rand.New(rand.NewSource(17))
+	base := randScale(rng, n)
+	wantBase := a.Run(clock, base).CritPS
+	const variants = 6
+	scales := make([][]float64, variants)
+	dirty := make([][]int, variants)
+	want := make([]float64, variants)
+	for v := range scales {
+		scales[v] = append([]float64(nil), base...)
+		for j := 0; j < 8; j++ {
+			i := rng.Intn(n)
+			dirty[v] = append(dirty[v], i)
+			scales[v][i] = 0.8 + 0.5*rng.Float64()
+		}
+		want[v] = a.Run(clock, scales[v]).CritPS
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(useKernel bool) {
+			defer wg.Done()
+			if !useKernel {
+				for v, s := range scales {
+					if got := a.Run(clock, s).CritPS; math.Float64bits(got) != math.Float64bits(want[v]) {
+						t.Errorf("analyzer variant %d: %v != %v", v, got, want[v])
+					}
+				}
+				return
+			}
+			k := NewKernel(a)
+			if got := k.Run(clock, base); math.Float64bits(got) != math.Float64bits(wantBase) {
+				t.Errorf("kernel base run: %v != %v", got, wantBase)
+			}
+			for v, s := range scales {
+				if got := k.Rerun(clock, s, dirty[v]); math.Float64bits(got) != math.Float64bits(want[v]) {
+					t.Errorf("kernel variant %d: %v != %v", v, got, want[v])
+				}
+				if got := k.Rerun(clock, base, dirty[v]); math.Float64bits(got) != math.Float64bits(wantBase) {
+					t.Errorf("kernel restore %d: %v != %v", v, got, wantBase)
+				}
+			}
+		}(w%2 == 1)
+	}
+	wg.Wait()
+}
+
+// TestKernelKeepsGraphAcrossRefresh grows the netlist and refreshes
+// the analyzer: a kernel built before still returns its old bits, and
+// one built after matches the refreshed analyzer.
+func TestKernelKeepsGraphAcrossRefresh(t *testing.T) {
+	nl := pipe(4)
+	a := analyze(t, nl)
+	old := NewKernel(a)
+	rng := rand.New(rand.NewSource(19))
+	oldScale := randScale(rng, old.NumCells())
+	before := old.Run(10000, oldScale)
+
+	// Splice a buffer into the chain.
+	target := nl.Nets[nl.Insts[2].Out].Sinks[0]
+	buf := nl.AddInst(cell.Buf, "b1", netlist.StageNone, "", nl.Insts[2].Out)
+	nl.RewireInput(target.Inst, target.Pin, buf)
+	a.PL.Extend()
+	a.PL.InsertAt(nl.NumCells()-1, a.PL.DieW/2, a.PL.DieH/2)
+	if err := a.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+
+	if old.NumCells() != len(oldScale) {
+		t.Fatalf("old kernel now times %d cells, built for %d", old.NumCells(), len(oldScale))
+	}
+	if got := old.Run(10000, oldScale); math.Float64bits(got) != math.Float64bits(before) {
+		t.Fatalf("old kernel after Refresh: %v, want its old %v", got, before)
+	}
+	k := NewKernel(a)
+	scale := randScale(rng, k.NumCells())
+	want := a.Run(10000, scale).CritPS
+	if got := k.Run(10000, scale); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("new kernel %v != refreshed analyzer %v", got, want)
 	}
 }

@@ -24,17 +24,19 @@ import (
 	"vipipe/internal/place"
 )
 
-// Analyzer caches the placement-dependent loads and the topological
-// order so that repeated analyses (Monte Carlo) only recompute
-// arrivals.
+// Analyzer caches the placement-dependent delays and the flattened
+// timing graph so that repeated analyses (Monte Carlo) only recompute
+// arrivals. Every method but Refresh, and NewKernel, only reads it,
+// so they may run on any number of goroutines; Refresh must not
+// overlap them.
 type Analyzer struct {
 	NL *netlist.Netlist
 	PL *place.Placement
 
-	order     []int     // topological order of combinational cells
-	baseDelay []float64 // nominal cell delay per instance (comb: in->out, ff: clk->Q)
-	setup     []float64 // nominal setup time per instance (flops only)
-	wire      []float64 // wire delay per net
+	baseDelay []float64   // nominal cell delay per instance (comb: in->out, ff: clk->Q)
+	setup     []float64   // nominal setup time per instance (flops only)
+	wire      []float64   // wire delay per net
+	g         *KernelView // timing graph over the tables above
 }
 
 // New prepares an analyzer for a placed netlist.
@@ -45,19 +47,10 @@ func New(nl *netlist.Netlist, pl *place.Placement) (*Analyzer, error) {
 	if len(pl.X) != nl.NumCells() {
 		return nil, flowerr.BadInputf("sta: placement covers %d of %d cells", len(pl.X), nl.NumCells())
 	}
-	order, err := nl.Levelize()
-	if err != nil {
+	a := &Analyzer{NL: nl, PL: pl}
+	if err := a.Refresh(); err != nil {
 		return nil, fmt.Errorf("sta: %w", err)
 	}
-	a := &Analyzer{
-		NL:        nl,
-		PL:        pl,
-		order:     order,
-		baseDelay: make([]float64, nl.NumCells()),
-		setup:     make([]float64, nl.NumCells()),
-		wire:      make([]float64, nl.NumNets()),
-	}
-	a.characterize()
 	return a, nil
 }
 
@@ -95,18 +88,19 @@ func (a *Analyzer) BaseDelay(i int) float64 { return a.baseDelay[i] }
 func (a *Analyzer) WireDelay(n int) float64 { return a.wire[n] }
 
 // Refresh recomputes loads and wire delays after placement or netlist
-// edits (e.g. level-shifter insertion). The caller must have extended
-// the placement first.
+// edits (e.g. level-shifter insertion) and installs a new timing
+// graph; the previous graph is left as it was for the kernels built
+// on it. The caller must have extended the placement first.
 func (a *Analyzer) Refresh() error {
 	order, err := a.NL.Levelize()
 	if err != nil {
 		return err
 	}
-	a.order = order
 	a.baseDelay = make([]float64, a.NL.NumCells())
 	a.setup = make([]float64, a.NL.NumCells())
 	a.wire = make([]float64, a.NL.NumNets())
 	a.characterize()
+	a.g = newGraph(a.NL, order, a.baseDelay, a.setup, a.wire)
 	return nil
 }
 
@@ -150,109 +144,32 @@ func (a *Analyzer) Run(clockPS float64, scale []float64) *Report {
 
 // RunInto is Run with caller-owned storage, for Monte Carlo loops.
 func (a *Analyzer) RunInto(rep *Report, clockPS float64, scale []float64) {
-	nl := a.NL
-	if cap(rep.Arrival) < nl.NumNets() {
-		rep.Arrival = make([]float64, nl.NumNets())
+	g := a.g
+	n := len(g.WirePS)
+	if cap(rep.Arrival) < n {
+		rep.Arrival = make([]float64, n)
 	}
-	rep.Arrival = rep.Arrival[:nl.NumNets()]
+	rep.Arrival = rep.Arrival[:n]
 	rep.ClockPS = clockPS
-	rep.Endpoints = rep.Endpoints[:0]
-	arr := rep.Arrival
-
-	sc := func(i int) float64 {
-		if scale == nil {
-			return 1
-		}
-		return scale[i]
-	}
-
-	// Startpoints.
-	neg := math.Inf(-1)
-	for n := range arr {
-		arr[n] = neg
-	}
-	for _, n := range nl.PIs {
-		arr[n] = 0
-	}
-	for i := range nl.Insts {
-		c := nl.Cell(i)
-		switch {
-		case c.Sequential:
-			arr[nl.Insts[i].Out] = a.baseDelay[i] * sc(i)
-		case c.IsTie():
-			// Constants never switch: they do not launch paths.
-			arr[nl.Insts[i].Out] = neg
-		}
-	}
-
-	// Propagate through combinational logic in topological order.
-	for _, i := range a.order {
-		inst := &nl.Insts[i]
-		if nl.Cell(i).IsTie() {
-			continue
-		}
-		worst := neg
-		for _, n := range inst.Inputs {
-			if t := arr[n] + a.wire[n]; t > worst {
-				worst = t
-			}
-		}
-		if worst == neg {
-			arr[inst.Out] = neg
-			continue
-		}
-		arr[inst.Out] = worst + a.baseDelay[i]*sc(i)
-	}
-
-	// Endpoints: flop D pins and primary outputs.
-	rep.WorstSlack = math.Inf(1)
-	rep.CritPS = 0
+	g.Propagate(rep.Arrival, scale)
+	var f Frame
+	g.EvalEndpoints(&f, &rep.Endpoints, rep.Arrival, clockPS, scale)
+	rep.WorstSlack = f.WorstSlack
+	rep.CritPS = f.CritPS
 	rep.PerStage = make(map[netlist.Stage]*StageTiming)
-	addEndpoint := func(inst, net int, stage netlist.Stage, need float64) {
-		t := arr[net] + a.wire[net]
-		if t == neg {
-			return // constant path: unconstrained
+	for s, lane := range f.Lanes {
+		if f.Present[s] {
+			st := StageTiming(lane)
+			rep.PerStage[lane.Stage] = &st
 		}
-		slack := need - t
-		ep := Endpoint{Inst: inst, Net: net, Stage: stage, Arrival: t, Slack: slack}
-		rep.Endpoints = append(rep.Endpoints, ep)
-		if slack < rep.WorstSlack {
-			rep.WorstSlack = slack
-		}
-		if crit := t + (clockPS - need); crit > rep.CritPS {
-			rep.CritPS = crit
-		}
-		st := rep.PerStage[stage]
-		if st == nil {
-			st = &StageTiming{Stage: stage, WorstSlack: math.Inf(1)}
-			rep.PerStage[stage] = st
-		}
-		st.Endpoints++
-		if slack < st.WorstSlack {
-			st.WorstSlack = slack
-			st.WorstArr = t
-			st.Endpoint = inst
-		}
-	}
-	for i := range nl.Insts {
-		if nl.IsSequential(i) {
-			need := clockPS - a.setup[i]*sc(i)
-			addEndpoint(i, nl.Insts[i].Inputs[0], nl.Insts[i].Stage, need)
-		}
-	}
-	for _, n := range nl.POs {
-		addEndpoint(netlist.NoInst, n, netlist.StageNone, clockPS)
 	}
 }
 
 // CriticalPath backtracks the worst path into the given endpoint and
 // returns it startpoint-first.
 func (a *Analyzer) CriticalPath(rep *Report, ep Endpoint, scale []float64) []PathStep {
-	sc := func(i int) float64 {
-		if scale == nil {
-			return 1
-		}
-		return scale[i]
+	if scale == nil {
+		scale = a.g.ones
 	}
 	var rev []PathStep
 	net := ep.Net
@@ -267,7 +184,7 @@ func (a *Analyzer) CriticalPath(rep *Report, ep Endpoint, scale []float64) []Pat
 			Inst:    drv,
 			Net:     net,
 			Unit:    inst.Unit,
-			DelayPS: a.baseDelay[drv] * sc(drv),
+			DelayPS: a.baseDelay[drv] * scale[drv],
 			WirePS:  a.wire[net],
 		})
 		if a.NL.IsSequential(drv) || a.NL.Cell(drv).IsTie() {

@@ -16,7 +16,7 @@ import (
 // flattened timing structure plus the per-instance operating data of
 // the chip position the model is for.
 type ExtractInput struct {
-	// View is the timing structure (sta.Kernel.View()); all slices are
+	// View is the timing graph (sta.Kernel.View()); all slices are
 	// read-only.
 	View    sta.KernelView
 	ClockPS float64
@@ -143,9 +143,9 @@ func Extract(in ExtractInput) (*Model, error) {
 	seen := make(map[string]bool)
 	for raise := 0; raise <= in.Islands; raise++ {
 		buildScale(raise, nil)
-		e.run(scale)
-		eps := e.endpoints(in.ClockPS, scale)
-		for _, ep := range worstPerStage(eps, in.PathsPerStage) {
+		e.v.Propagate(e.arr, scale)
+		e.v.EvalEndpoints(&e.frame, &e.eps, e.arr, in.ClockPS, scale)
+		for _, ep := range worstPerStage(e.eps, in.PathsPerStage) {
 			s, ok := e.backtrack(ep)
 			if !ok {
 				continue
@@ -188,28 +188,28 @@ func Extract(in ExtractInput) (*Model, error) {
 	// positions and the extreme excursions. The worst observed gap,
 	// doubled with a half-picosecond floor, becomes the stated bound.
 	worstGap := 0.0
-	note := func(exactCrit float64, lanes *laneSet, ans Answer) {
-		if g := math.Abs(exactCrit - ans.CritPS); g > worstGap {
+	note := func(exact *sta.Frame, ans Answer) {
+		if g := math.Abs(exact.CritPS - ans.CritPS); g > worstGap {
 			worstGap = g
 		}
 		for _, sa := range ans.PerStage {
-			if !lanes.present[sa.Stage] {
+			if !exact.Present[sa.Stage] {
 				continue
 			}
-			if g := math.Abs(sa.WorstSlackPS - lanes.slack[sa.Stage]); g > worstGap {
+			if g := math.Abs(sa.WorstSlackPS - exact.Lanes[sa.Stage].WorstSlack); g > worstGap {
 				worstGap = g
 			}
 		}
 	}
 	probe := func(raise int, ov *Disc) error {
 		buildScale(raise, ov)
-		e.run(scale)
-		crit, lanes := e.summarize(in.ClockPS, scale)
+		e.v.Propagate(e.arr, scale)
+		e.v.EvalEndpoints(&e.frame, nil, e.arr, in.ClockPS, scale)
 		ans, err := m.Eval(Query{Raise: raise, Overlay: ov})
 		if err != nil {
 			return err
 		}
-		note(crit, lanes, ans)
+		note(&e.frame, ans)
 		return nil
 	}
 	for raise := 0; raise <= in.Islands; raise++ {
@@ -281,23 +281,15 @@ func (s *gsig) key() string {
 	return b.String()
 }
 
-// epoint is one evaluated timing endpoint.
-type epoint struct {
-	inst  int32 // global, netlist.NoInst for a PO
-	net   int32
-	stage netlist.Stage
-	t     float64
-	slack float64
-}
-
-// extractor replays the kernel's exact arrival propagation over a
-// view, with backtracking: the forward float expressions replicate
-// Kernel.propagate operation for operation.
+// extractor holds the buffers one extraction reuses across probes:
+// the arrivals and endpoints the view's timing passes fill, and the
+// per-net driver table backtrack walks.
 type extractor struct {
-	v   sta.KernelView
-	arr []float64
-	drv []int32 // driving instance per net, -1 for PIs
-	eps []epoint
+	v     sta.KernelView
+	arr   []float64
+	drv   []int32 // driving instance per net, -1 for PIs
+	eps   []sta.Endpoint
+	frame sta.Frame
 }
 
 func newExtractor(v sta.KernelView) *extractor {
@@ -315,109 +307,17 @@ func newExtractor(v sta.KernelView) *extractor {
 	return e
 }
 
-func (e *extractor) run(scale []float64) {
-	v := e.v
-	arr := e.arr
-	neg := math.Inf(-1)
-	for n := range arr {
-		arr[n] = neg
-	}
-	for _, n := range v.PIs {
-		arr[n] = 0
-	}
-	for _, i := range v.Seq {
-		arr[v.Out[i]] = v.BasePS[i] * scale[i]
-	}
-	for _, i := range v.Order {
-		if v.IsTie[i] {
-			continue
-		}
-		worst := neg
-		for _, n := range v.InNet[v.InPtr[i]:v.InPtr[i+1]] {
-			if t := arr[n] + v.WirePS[n]; t > worst {
-				worst = t
-			}
-		}
-		if worst == neg {
-			arr[v.Out[i]] = neg
-			continue
-		}
-		arr[v.Out[i]] = worst + v.BasePS[i]*scale[i]
-	}
-}
-
-// endpoints evaluates every constrained endpoint against the retained
-// arrivals, flop D pins in ascending instance order then primary
-// outputs — the Analyzer's endpoint order.
-func (e *extractor) endpoints(clockPS float64, scale []float64) []epoint {
-	v := e.v
-	arr := e.arr
-	neg := math.Inf(-1)
-	e.eps = e.eps[:0]
-	for _, i := range v.Seq {
-		need := clockPS - v.SetupPS[i]*scale[i]
-		n := v.InNet[v.InPtr[i]]
-		t := arr[n] + v.WirePS[n]
-		if t == neg {
-			continue
-		}
-		e.eps = append(e.eps, epoint{inst: int32(i), net: n, stage: v.Stage[i], t: t, slack: need - t})
-	}
-	for _, n := range v.POs {
-		t := arr[n] + v.WirePS[n]
-		if t == neg {
-			continue
-		}
-		e.eps = append(e.eps, epoint{inst: netlist.NoInst, net: int32(n), stage: netlist.StageNone, t: t, slack: clockPS - t})
-	}
-	return e.eps
-}
-
-// laneSet is the exact per-stage summary used for validation.
-type laneSet struct {
-	slack   [netlist.NumStages]float64
-	present [netlist.NumStages]bool
-}
-
-// summarize reduces the retained arrivals to the exact critical path
-// and per-stage worst slacks.
-func (e *extractor) summarize(clockPS float64, scale []float64) (float64, *laneSet) {
-	lanes := &laneSet{}
-	for s := range lanes.slack {
-		lanes.slack[s] = math.Inf(1)
-	}
-	crit := 0.0
-	for _, ep := range e.endpoints(clockPS, scale) {
-		// Replicate RunInto's crit expression: t + (clock - need),
-		// with need reconstructed exactly as it was computed.
-		var n float64
-		if ep.inst != netlist.NoInst {
-			n = clockPS - e.v.SetupPS[ep.inst]*scale[ep.inst]
-		} else {
-			n = clockPS
-		}
-		if c := ep.t + (clockPS - n); c > crit {
-			crit = c
-		}
-		lanes.present[ep.stage] = true
-		if ep.slack < lanes.slack[ep.stage] {
-			lanes.slack[ep.stage] = ep.slack
-		}
-	}
-	return crit, lanes
-}
-
 // worstPerStage returns, per covered stage, the k endpoints with the
 // smallest slack (stable on ties, so the selection is deterministic).
-func worstPerStage(eps []epoint, k int) []epoint {
-	byStage := make([][]epoint, netlist.NumStages)
+func worstPerStage(eps []sta.Endpoint, k int) []sta.Endpoint {
+	byStage := make([][]sta.Endpoint, netlist.NumStages)
 	for _, ep := range eps {
-		byStage[ep.stage] = append(byStage[ep.stage], ep)
+		byStage[ep.Stage] = append(byStage[ep.Stage], ep)
 	}
-	var out []epoint
+	var out []sta.Endpoint
 	for s := range byStage {
 		lane := byStage[s]
-		sort.SliceStable(lane, func(i, j int) bool { return lane[i].slack < lane[j].slack })
+		sort.SliceStable(lane, func(i, j int) bool { return lane[i].Slack < lane[j].Slack })
 		if len(lane) > k {
 			lane = lane[:k]
 		}
@@ -430,19 +330,19 @@ func worstPerStage(eps []epoint, k int) []epoint {
 // picking the latest-arriving input at each hop exactly like
 // Analyzer.CriticalPath (strictly-greater comparison, first input
 // wins ties).
-func (e *extractor) backtrack(ep epoint) (gsig, bool) {
+func (e *extractor) backtrack(ep sta.Endpoint) (gsig, bool) {
 	v := e.v
 	s := gsig{
-		stage:   ep.stage,
-		ep:      ep.inst,
+		stage:   ep.Stage,
+		ep:      int32(ep.Inst),
 		launch:  -1,
-		capWire: v.WirePS[ep.net],
-		capInst: ep.inst,
+		capWire: v.WirePS[ep.Net],
+		capInst: int32(ep.Inst),
 	}
-	if ep.inst == netlist.NoInst {
+	if ep.Inst == netlist.NoInst {
 		s.capInst = -1
 	}
-	net := ep.net
+	net := int32(ep.Net)
 	var revCells []int32
 	var revWire []float64
 	for {

@@ -85,9 +85,9 @@ func ExtractThreshold(in ThresholdInput) (*ThresholdModel, error) {
 				scale[i] = in.LoScale[i]
 			}
 		}
-		e.run(scale)
-		eps := e.endpoints(in.ClockPS, scale)
-		for _, ep := range worstPerStage(eps, in.PathsPerStage) {
+		e.v.Propagate(e.arr, scale)
+		e.v.EvalEndpoints(&e.frame, &e.eps, e.arr, in.ClockPS, scale)
+		for _, ep := range worstPerStage(e.eps, in.PathsPerStage) {
 			g, ok := e.backtrack(ep)
 			if !ok {
 				continue

@@ -50,7 +50,7 @@ func addTimingModelNodes(g *pipeline.Graph, cfg Config, positions []variation.Po
 }
 
 // extractTimingModel assembles the extraction input from graph
-// artifacts: the kernel's timing view, the partition's island regions,
+// artifacts: the analyzer's timing graph, the partition's island regions,
 // the position's systematic gate lengths and the recovered derates.
 func extractTimingModel(cfg Config, deps map[string]any, strat vi.Strategy, pos variation.Pos) (*tmodel.Model, error) {
 	syn := deps[NodeSynth].(*Synth)
@@ -94,9 +94,8 @@ func nominalShifterPS(lib *cell.Library) float64 {
 // evaluation when it is not (errors.Is(..., tmodel.ErrOutOfDomain)).
 // The fallback builds the full per-instance scale vector for the
 // mutated operating point — island raise by the partition's regions,
-// overlay excursion on the systematic gate lengths — and runs the
-// kernel, so its answer carries BoundPS = 0, Exact = true, and is
-// bit-identical to Analyzer.RunInto at that operating point. Shifter
+// overlay excursion on the systematic gate lengths — and times it
+// exactly, so its answer carries BoundPS = 0, Exact = true. Shifter
 // estimates are composition-only: an out-of-domain query with
 // Shifters set reports the exact answer with zero crossings.
 func EvalWhatIf(cfg Config, tm *Timing, part *vi.Partition, m *tmodel.Model, pos variation.Pos, q tmodel.Query) (tmodel.Answer, error) {
