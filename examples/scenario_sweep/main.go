@@ -59,9 +59,7 @@ func main() {
 			rng := stats.DeriveStream(2026, fmt.Sprintf("chip/%s/%d", pos.Name, c))
 			lg := cfg.Model.SampleChip(flow.PL, pos, rng)
 			scale := make([]float64, flow.NL.NumCells())
-			for i := range scale {
-				scale[i] = tech.DelayScale(tech.VddLow, lg[i]) * flow.Derate[i]
-			}
+			tech.ScaleInto(scale, lg, flow.Derate, nil)
 			det := razor.Detect(flow.STA, plan, flow.ClockPS, scale)
 			truth := razor.GroundTruth(flow.STA.Run(flow.ClockPS, scale))
 			if det.Equal(truth) {

@@ -313,13 +313,8 @@ func analyzePower(cfg Config, deps map[string]any, domains []cell.Domain, pos va
 // systematicLgate returns per-cell gate lengths at a chip position
 // with the random component suppressed: the "mean chip" used for
 // scenario power reporting.
-func systematicLgate(model variation.Model, nl *netlist.Netlist, pl *place.Placement, pos variation.Pos) []float64 {
-	lg := make([]float64, nl.NumCells())
-	for i := range lg {
-		cx, cy := pl.Center(i)
-		lg[i] = model.SystematicLgateNM(pos.XMM+cx/1000, pos.YMM+cy/1000)
-	}
-	return lg
+func systematicLgate(model variation.Model, _ *netlist.Netlist, pl *place.Placement, pos variation.Pos) []float64 {
+	return model.SystematicMap(pl, pos)
 }
 
 // simulateWorkload co-simulates the FIR benchmark on a core and

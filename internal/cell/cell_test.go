@@ -307,3 +307,40 @@ func TestDelayScalerBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleIntoMatchesDelayScaler pins the vector scaler to the scalar
+// one, bit for bit, with and without derates and domains.
+func TestScaleIntoMatchesDelayScaler(t *testing.T) {
+	tech := DefaultTech()
+	lo, hi := tech.DelayScaler(tech.VddLow), tech.DelayScaler(tech.VddHigh)
+	const n = 97
+	lg := make([]float64, n)
+	derate := make([]float64, n)
+	doms := make([]Domain, n)
+	for i := range lg {
+		lg[i] = 58 + 0.15*float64(i)
+		derate[i] = 0.9 + 0.002*float64(i)
+		if i%3 == 0 {
+			doms[i] = DomainHigh
+		}
+	}
+	dst := make([]float64, n)
+	for _, c := range []struct {
+		derate []float64
+		doms   []Domain
+	}{{nil, nil}, {derate, nil}, {nil, doms}, {derate, doms}} {
+		tech.ScaleInto(dst, lg, c.derate, c.doms)
+		for i := range dst {
+			want := lo(lg[i])
+			if c.doms != nil && c.doms[i] == DomainHigh {
+				want = hi(lg[i])
+			}
+			if c.derate != nil {
+				want *= c.derate[i]
+			}
+			if math.Float64bits(dst[i]) != math.Float64bits(want) {
+				t.Fatalf("derate=%v domains=%v cell %d: %v, want %v", c.derate != nil, c.doms != nil, i, dst[i], want)
+			}
+		}
+	}
+}

@@ -99,14 +99,49 @@ func (t *Tech) DelayScale(vdd, lgateNM float64) float64 {
 // function computes the identical expression on identical operands in
 // the same order — ((lr^1.5 * AP(vdd,L)) / AP(VddLow,Lnom)) — so its
 // results match DelayScale bit-for-bit while halving the
-// transcendental count; Monte Carlo sample loops evaluate it per cell
-// per sample.
+// transcendental count.
 func (t *Tech) DelayScaler(vdd float64) func(lgateNM float64) float64 {
-	denom := t.alphaPower(t.VddLow, t.LgateNM)
-	return func(lgateNM float64) float64 {
-		lr := lgateNM / t.LgateNM
-		return math.Pow(lr, 1.5) * t.alphaPower(vdd, lgateNM) / denom
+	return t.scalerAt(vdd).at
+}
+
+// ScaleInto fills dst with the per-instance delay factors the timing
+// engine consumes: cell i at gate length lg[i] and the supply of
+// domains[i] (nil = all low), times derate[i] (nil = none). It is the
+// one place a scale vector is built — Monte Carlo sample loops call it
+// once per sample — and it prices each cell exactly as DelayScaler
+// does. lg, and derate and domains when non-nil, cover at least
+// len(dst) instances.
+func (t *Tech) ScaleInto(dst, lg, derate []float64, domains []Domain) {
+	lo, hi := t.scalerAt(t.VddLow), t.scalerAt(t.VddHigh)
+	for i := range dst {
+		var s float64
+		if domains != nil && domains[i] == DomainHigh {
+			s = hi.at(lg[i])
+		} else {
+			s = lo.at(lg[i])
+		}
+		if derate != nil {
+			s *= derate[i]
+		}
+		dst[i] = s
 	}
+}
+
+// scaler is DelayScale at one supply with the nominal normalization
+// precomputed.
+type scaler struct {
+	t     *Tech
+	vdd   float64
+	denom float64
+}
+
+func (t *Tech) scalerAt(vdd float64) scaler {
+	return scaler{t: t, vdd: vdd, denom: t.alphaPower(t.VddLow, t.LgateNM)}
+}
+
+func (s scaler) at(lgateNM float64) float64 {
+	lr := lgateNM / s.t.LgateNM
+	return math.Pow(lr, 1.5) * s.t.alphaPower(s.vdd, lgateNM) / s.denom
 }
 
 // SpeedupHighVdd returns the delay ratio D(VddHigh)/D(VddLow) at

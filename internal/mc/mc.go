@@ -159,6 +159,7 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 
 	nCells := a.NL.NumCells()
 	tech := &a.NL.Lib.Tech
+	chips := model.Chips(a.PL, pos, opts.Seed)
 
 	// Per-sample outcomes live in flat structure-of-arrays storage —
 	// one slot per sample index, workers write disjoint slots — so the
@@ -186,15 +187,12 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 			defer wg.Done()
 			// Each worker owns a kernel (the SoA fast path shares the
 			// analyzer's characterized tables) plus reusable sample
-			// buffers; the cached scalers hoist the normalization
-			// constant of cell.DelayScale out of the per-cell loop,
-			// bit-for-bit equal by DelayScaler's contract.
+			// buffers and a scratch stream the chip draws re-seed.
 			kern := sta.NewKernel(a)
 			frame := &sta.Frame{}
 			lg := make([]float64, nCells)
 			scale := make([]float64, nCells)
-			loScale := tech.DelayScaler(tech.VddLow)
-			hiScale := tech.DelayScaler(tech.VddHigh)
+			rng := stats.NewStream(0)
 			// sample is split out so a recovered panic discards one
 			// chip instance, not the worker's whole queue.
 			sample := func(k int) {
@@ -208,20 +206,8 @@ func Run(ctx context.Context, a *sta.Analyzer, model *variation.Model, pos varia
 				if opts.hookSample != nil {
 					opts.hookSample(k)
 				}
-				rng := stats.DeriveStream(opts.Seed, fmt.Sprintf("mc/%s/%d", pos.Name, k))
-				model.SampleChipInto(lg, a.PL, pos, rng)
-				for i := 0; i < nCells; i++ {
-					var s float64
-					if opts.Domains != nil && opts.Domains[i] == cell.DomainHigh {
-						s = hiScale(lg[i])
-					} else {
-						s = loScale(lg[i])
-					}
-					if opts.Derate != nil {
-						s *= opts.Derate[i]
-					}
-					scale[i] = s
-				}
+				chips.Draw(lg, k, rng)
+				tech.ScaleInto(scale, lg, opts.Derate, opts.Domains)
 				kern.RunFrame(frame, opts.ClockPS, scale)
 				outs.crit[k] = frame.CritPS
 				mask := uint8(0)

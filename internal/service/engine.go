@@ -248,6 +248,9 @@ func (e *Engine) Validate(req Request) error {
 			if q.Overlay != nil && q.Overlay.RMM <= 0 {
 				return flowerr.BadInputf("service: whatif query %d: overlay radius %g must be positive", i, q.Overlay.RMM)
 			}
+			if q.Overlay != nil && !variation.ValidDeltaFrac(q.Overlay.DeltaFrac) {
+				return flowerr.BadInputf("service: whatif query %d: overlay delta_frac %g must exceed %g", i, q.Overlay.DeltaFrac, variation.DeltaFracFloor)
+			}
 		}
 		return nil
 	case "drc":

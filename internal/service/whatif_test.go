@@ -88,6 +88,8 @@ func TestServiceWhatIfValidation(t *testing.T) {
 			Queries: []WhatIfSpec{{Raise: -2}}, Config: tinySpec},
 		{Kind: "whatif", Strategy: "vertical", Position: "B",
 			Queries: []WhatIfSpec{{Raise: 0, Overlay: &OverlaySpec{RMM: -1}}}, Config: tinySpec},
+		{Kind: "whatif", Strategy: "vertical", Position: "B",
+			Queries: []WhatIfSpec{{Raise: 0, Overlay: &OverlaySpec{RMM: 5, DeltaFrac: -1.5}}}, Config: tinySpec},
 	}
 	for i, req := range bad {
 		if err := e.Validate(req); err == nil {

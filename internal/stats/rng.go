@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"hash/fnv"
-	"math/rand"
-)
+import "math/rand"
 
 // Stream is a deterministic pseudo-random stream. Every stochastic
 // component of the flow draws from a named Stream derived from a
@@ -23,14 +20,33 @@ func NewStream(seed int64) *Stream {
 // The derivation hashes (seed, name) so distinct names yield distinct,
 // uncorrelated-for-our-purposes streams.
 func DeriveStream(seed int64, name string) *Stream {
-	h := fnv.New64a()
-	var b [8]byte
+	return NewStream(deriveSeed(seed, name))
+}
+
+// Rederive re-seeds s in place to the state DeriveStream(seed,
+// string(name)) starts in, without allocating: sample loops derive one
+// stream per sample into a single reused Stream.
+func (s *Stream) Rederive(seed int64, name []byte) {
+	s.r.Seed(deriveSeed(seed, name))
+}
+
+// deriveSeed is the 64-bit FNV-1a hash of seed's eight little-endian
+// bytes followed by name.
+func deriveSeed[T string | []byte](seed int64, name T) int64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
 	for i := 0; i < 8; i++ {
-		b[i] = byte(seed >> (8 * i))
+		h ^= uint64(byte(seed >> (8 * i)))
+		h *= prime
 	}
-	h.Write(b[:])
-	h.Write([]byte(name))
-	return NewStream(int64(h.Sum64()))
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime
+	}
+	return int64(h)
 }
 
 // Float64 returns a uniform draw in [0,1).

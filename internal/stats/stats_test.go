@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -220,6 +222,36 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 	if !diff {
 		t.Error("derived streams with different names identical")
+	}
+}
+
+// TestRederiveMatchesDeriveStream pins the in-place derivation to
+// DeriveStream, and both to the hash/fnv FNV-1a seed derivation every
+// recorded Monte Carlo result was drawn with.
+func TestRederiveMatchesDeriveStream(t *testing.T) {
+	reused := NewStream(0)
+	for _, seed := range []int64{0, 11, -3, 1 << 40} {
+		for _, name := range []string{"", "mc/A/0", "mc/r3c7/123456"} {
+			h := fnv.New64a()
+			var b [8]byte
+			for i := range b {
+				b[i] = byte(seed >> (8 * i))
+			}
+			h.Write(b[:])
+			h.Write([]byte(name))
+			ref := rand.New(rand.NewSource(int64(h.Sum64())))
+			derived := DeriveStream(seed, name)
+			reused.Rederive(seed, []byte(name))
+			for i := 0; i < 20; i++ {
+				want := ref.NormFloat64()
+				if got := derived.NormFloat64(); got != want {
+					t.Fatalf("DeriveStream(%d, %q) draw %d = %v, want %v", seed, name, i, got, want)
+				}
+				if got := reused.NormFloat64(); got != want {
+					t.Fatalf("Rederive(%d, %q) draw %d = %v, want %v", seed, name, i, got, want)
+				}
+			}
+		}
 	}
 }
 

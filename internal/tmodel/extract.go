@@ -78,10 +78,9 @@ func Extract(in ExtractInput) (*Model, error) {
 		in.MaxDeltaFrac = 0.08
 	}
 
-	// Per-instance island group and full low/high scale vectors, the
-	// same recipe mc's inner loop applies (cached scaler x derate), so
-	// model terms match the exact path bit for bit at the corners.
+	// Per-instance island group and full low/high scale vectors.
 	group := make([]int32, n)
+	high := make([]cell.Domain, n)
 	for i := 0; i < n; i++ {
 		group[i] = int32(in.Islands) + 1
 		if in.Region != nil {
@@ -89,47 +88,22 @@ func Extract(in ExtractInput) (*Model, error) {
 				group[i] = r
 			}
 		}
+		high[i] = cell.DomainHigh
 	}
-	loScaler := in.Tech.DelayScaler(in.Tech.VddLow)
-	hiScaler := in.Tech.DelayScaler(in.Tech.VddHigh)
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	for i := 0; i < n; i++ {
-		l, h := loScaler(in.LgNM[i]), hiScaler(in.LgNM[i])
-		if in.Derate != nil {
-			l *= in.Derate[i]
-			h *= in.Derate[i]
-		}
-		lo[i], hi[i] = l, h
+	scales := func(lg []float64) (lo, hi []float64) {
+		lo, hi = make([]float64, n), make([]float64, n)
+		in.Tech.ScaleInto(lo, lg, in.Derate, nil)
+		in.Tech.ScaleInto(hi, lg, in.Derate, high)
+		return lo, hi
 	}
+	lo, hi := scales(in.LgNM)
 
 	e := newExtractor(in.View)
 	scale := make([]float64, n)
-	buildScale := func(raise int, ov *Disc) {
-		var deltaNM, r2 float64
-		if ov != nil {
-			deltaNM = in.LnomNM * ov.DeltaFrac
-			r2 = ov.RMM * ov.RMM
-		}
+	// buildScale picks each cell's supply corner for a raise level.
+	buildScale := func(raise int, lo, hi []float64) {
 		for i := 0; i < n; i++ {
-			raised := group[i] <= int32(raise)
-			if ov != nil {
-				dx := in.XUM[i]/1000 - ov.XMM
-				dy := in.YUM[i]/1000 - ov.YMM
-				if dx*dx+dy*dy <= r2 {
-					lg := in.LgNM[i] + deltaNM
-					s := loScaler(lg)
-					if raised {
-						s = hiScaler(lg)
-					}
-					if in.Derate != nil {
-						s *= in.Derate[i]
-					}
-					scale[i] = s
-					continue
-				}
-			}
-			if raised {
+			if group[i] <= int32(raise) {
 				scale[i] = hi[i]
 			} else {
 				scale[i] = lo[i]
@@ -142,7 +116,7 @@ func Extract(in ExtractInput) (*Model, error) {
 	var sigs []gsig
 	seen := make(map[string]bool)
 	for raise := 0; raise <= in.Islands; raise++ {
-		buildScale(raise, nil)
+		buildScale(raise, lo, hi)
 		e.v.Propagate(e.arr, scale)
 		e.v.EvalEndpoints(&e.frame, &e.eps, e.arr, in.ClockPS, scale)
 		for _, ep := range worstPerStage(e.eps, in.PathsPerStage) {
@@ -201,8 +175,8 @@ func Extract(in ExtractInput) (*Model, error) {
 			}
 		}
 	}
-	probe := func(raise int, ov *Disc) error {
-		buildScale(raise, ov)
+	probe := func(raise int, ov *Disc, lo, hi []float64) error {
+		buildScale(raise, lo, hi)
 		e.v.Propagate(e.arr, scale)
 		e.v.EvalEndpoints(&e.frame, nil, e.arr, in.ClockPS, scale)
 		ans, err := m.Eval(Query{Raise: raise, Overlay: ov})
@@ -213,7 +187,7 @@ func Extract(in ExtractInput) (*Model, error) {
 		return nil
 	}
 	for raise := 0; raise <= in.Islands; raise++ {
-		if err := probe(raise, nil); err != nil {
+		if err := probe(raise, nil, lo, hi); err != nil {
 			return nil, err
 		}
 	}
@@ -229,8 +203,9 @@ func Extract(in ExtractInput) (*Model, error) {
 					RMM:       0.35 * spanMM,
 					DeltaFrac: df,
 				}
+				ovLo, ovHi := scales(discLgate(in, ov))
 				for raise := 0; raise <= in.Islands; raise++ {
-					if err := probe(raise, ov); err != nil {
+					if err := probe(raise, ov, ovLo, ovHi); err != nil {
 						return nil, err
 					}
 				}
@@ -239,6 +214,22 @@ func Extract(in ExtractInput) (*Model, error) {
 	}
 	m.BoundPS = 2*worstGap + 0.5
 	return m, nil
+}
+
+// discLgate returns the input's gate lengths with the overlay's
+// excursion added inside its disc.
+func discLgate(in ExtractInput, ov *Disc) []float64 {
+	lg := append([]float64(nil), in.LgNM...)
+	deltaNM := in.LnomNM * ov.DeltaFrac
+	r2 := ov.RMM * ov.RMM
+	for i := range lg {
+		dx := in.XUM[i]/1000 - ov.XMM
+		dy := in.YUM[i]/1000 - ov.YMM
+		if dx*dx+dy*dy <= r2 {
+			lg[i] += deltaNM
+		}
+	}
+	return lg
 }
 
 func derateAt(derate []float64, g int32) float64 {

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -339,66 +338,6 @@ func TestShifterEstimate(t *testing.T) {
 	}
 	if shifted.ShifterPS != float64(shifted.Crossings)*m.ShifterPS {
 		t.Fatalf("penalty %g inconsistent with %d crossings x %g", shifted.ShifterPS, shifted.Crossings, m.ShifterPS)
-	}
-}
-
-// TestThresholdModelMatchesExact pins the boundary-search model: exact
-// (to float noise) at its probe bounds, a lower bound in between.
-func TestThresholdModelMatchesExact(t *testing.T) {
-	f := newFix(t)
-	n := f.kern.NumCells()
-	rng := rand.New(rand.NewSource(3))
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	for i := 0; i < n; i++ {
-		lo[i] = 0.9 + 0.3*rng.Float64()
-		hi[i] = lo[i] * (0.8 + 0.05*rng.Float64())
-	}
-	minX, maxX := minMax(f.in.XUM)
-	probes := []float64{
-		minX + 0.25*(maxX-minX),
-		minX + 0.5*(maxX-minX),
-		minX + 0.75*(maxX-minX),
-	}
-	tm, err := ExtractThreshold(ThresholdInput{
-		View:    f.in.View,
-		ClockPS: f.in.ClockPS,
-		Axis:    f.in.XUM,
-		LoScale: lo,
-		HiScale: hi,
-		Probes:  probes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm.NumSigs() == 0 {
-		t.Fatal("no signatures stored")
-	}
-	scale := make([]float64, n)
-	exact := func(bound float64) float64 {
-		for i := 0; i < n; i++ {
-			if f.in.XUM[i] <= bound {
-				scale[i] = hi[i]
-			} else {
-				scale[i] = lo[i]
-			}
-		}
-		return f.kern.Run(f.in.ClockPS, scale)
-	}
-	for _, b := range probes {
-		if gap := math.Abs(exact(b) - tm.EvalBound(b).CritPS); gap > 1e-6 {
-			t.Errorf("probe bound %g: gap %g, want exact", b, gap)
-		}
-	}
-	for frac := 0.1; frac < 1; frac += 0.1 {
-		b := minX + frac*(maxX-minX)
-		ex, got := exact(b), tm.EvalBound(b).CritPS
-		if got > ex+1e-6 {
-			t.Errorf("bound %g: composed %g exceeds exact %g", b, got, ex)
-		}
-		if got < 0.97*ex {
-			t.Errorf("bound %g: composed %g far below exact %g", b, got, ex)
-		}
 	}
 }
 

@@ -17,6 +17,7 @@ package variation
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"vipipe/internal/cell"
 	"vipipe/internal/place"
@@ -131,6 +132,17 @@ func (m *Model) MapGrid(n int) [][]float64 {
 	return g
 }
 
+// DeltaFracFloor is the exclusive lower bound of a local gate-length
+// excursion (an overlay's DeltaFrac, a fraction of nominal). Below -1
+// a cell's gate length turns negative and Eq. 3's (L/Lnom)^1.5 is NaN;
+// the floor keeps even a 3-sigma short, fast-corner cell well above
+// zero.
+const DeltaFracFloor = -0.5
+
+// ValidDeltaFrac reports whether d is an excursion the models can
+// price: above DeltaFracFloor (NaN is not).
+func ValidDeltaFrac(d float64) bool { return d > DeltaFracFloor }
+
 // Pos is a core placement position on the chip, in millimeters.
 type Pos struct {
 	Name string
@@ -163,44 +175,66 @@ func (m *Model) Position(name string) (Pos, bool) {
 	return Pos{}, false
 }
 
+// SystematicMap returns the systematic gate length (paper Eq. 1) of
+// every cell of a core placed with its lower-left corner at pos: the
+// "mean chip" the random draws scatter around.
+func (m *Model) SystematicMap(pl *place.Placement, pos Pos) []float64 {
+	lg := make([]float64, pl.NL.NumCells())
+	for i := range lg {
+		cx, cy := pl.Center(i)
+		lg[i] = m.SystematicLgateNM(pos.XMM+cx/1000, pos.YMM+cy/1000) // placement is in microns
+	}
+	return lg
+}
+
 // SampleChip draws one fabricated-chip instance: per-cell effective
 // gate lengths for a core placed with its lower-left corner at pos,
 // combining the systematic map at each cell's physical location with
 // an independent random draw (paper Eq. 2).
 func (m *Model) SampleChip(pl *place.Placement, pos Pos, rng *stats.Stream) []float64 {
-	lg := make([]float64, pl.NL.NumCells())
-	m.SampleChipInto(lg, pl, pos, rng)
+	lg := m.SystematicMap(pl, pos)
+	sigma := m.RndSigmaNM()
+	for i := range lg {
+		lg[i] += rng.Normal(0, sigma)
+	}
 	return lg
 }
 
-// SampleChipInto is SampleChip with caller-owned storage for Monte
-// Carlo inner loops: the draw order and arithmetic are identical, so
-// a reused buffer holds the same bits a fresh SampleChip would.
-// lg must have NumCells entries.
-func (m *Model) SampleChipInto(lg []float64, pl *place.Placement, pos Pos, rng *stats.Stream) {
-	n := pl.NL.NumCells()
-	sigma := m.RndSigmaNM()
-	for i := 0; i < n; i++ {
-		cx, cy := pl.Center(i)
-		x := pos.XMM + cx/1000 // placement is in microns
-		y := pos.YMM + cy/1000
-		lg[i] = m.SystematicLgateNM(x, y) + rng.Normal(0, sigma)
+// Chips draws the Monte Carlo chip population of one core placement
+// at one position: chip k's gate lengths are the systematic map plus
+// random draws from the stream "mc/<pos>/<k>" derived from the root
+// seed. Every Monte Carlo engine samples through it, so chip k is the
+// same chip wherever it is drawn, whatever the sharding or worker
+// count. A Chips is read-only after construction and safe for
+// concurrent use.
+type Chips struct {
+	sysNM  []float64
+	sigma  float64
+	seed   int64
+	prefix string // "mc/<pos>/"
+}
+
+// Chips computes the systematic map of the placement at pos once, for
+// any number of draws.
+func (m *Model) Chips(pl *place.Placement, pos Pos, seed int64) *Chips {
+	return &Chips{
+		sysNM:  m.SystematicMap(pl, pos),
+		sigma:  m.RndSigmaNM(),
+		seed:   seed,
+		prefix: "mc/" + pos.Name + "/",
 	}
 }
 
-// DelayScales converts per-cell gate lengths and supply domains into
-// the per-instance delay factors consumed by the timing engine
-// (paper Eq. 3 via cell.Tech).
-func DelayScales(tech *cell.Tech, lgateNM []float64, domains []cell.Domain) []float64 {
-	out := make([]float64, len(lgateNM))
-	for i, lg := range lgateNM {
-		vdd := tech.VddLow
-		if domains != nil && domains[i] == cell.DomainHigh {
-			vdd = tech.VddHigh
-		}
-		out[i] = tech.DelayScale(vdd, lg)
+// Draw fills lg (one entry per cell) with chip k's gate lengths. rng
+// is the caller's scratch stream, re-seeded in place to chip k's
+// stream, so a loop that reuses one lg and one rng allocates nothing
+// per chip.
+func (c *Chips) Draw(lg []float64, k int, rng *stats.Stream) {
+	var buf [64]byte
+	rng.Rederive(c.seed, strconv.AppendInt(append(buf[:0], c.prefix...), int64(k), 10))
+	for i, sys := range c.sysNM {
+		lg[i] = sys + rng.Normal(0, c.sigma)
 	}
-	return out
 }
 
 // LeakScales converts per-cell gate lengths and domains into leakage

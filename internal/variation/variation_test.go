@@ -1,6 +1,7 @@
 package variation
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -165,14 +166,16 @@ func TestDelayAndLeakScales(t *testing.T) {
 	tech := cell.DefaultTech()
 	lg := []float64{65, 70, 60}
 	doms := []cell.Domain{cell.DomainLow, cell.DomainLow, cell.DomainHigh}
-	ds := DelayScales(&tech, lg, nil)
+	ds := make([]float64, len(lg))
+	tech.ScaleInto(ds, lg, nil, nil)
 	if math.Abs(ds[0]-1) > 1e-12 {
 		t.Errorf("nominal scale %g", ds[0])
 	}
 	if ds[1] <= 1 || ds[2] >= 1 {
 		t.Errorf("scale direction wrong: %v", ds)
 	}
-	dsD := DelayScales(&tech, lg, doms)
+	dsD := make([]float64, len(lg))
+	tech.ScaleInto(dsD, lg, nil, doms)
 	// High-Vdd domain cell must be faster than the same cell at low
 	// Vdd.
 	if dsD[2] >= ds[2] {
@@ -192,4 +195,55 @@ func TestMapGridPanics(t *testing.T) {
 	}()
 	m := Default()
 	m.MapGrid(1)
+}
+
+// TestChipsDrawMatchesDerivedStreams pins Chips.Draw to the recipe it
+// replaces: chip k is SampleChip on DeriveStream(seed, "mc/<pos>/<k>").
+func TestChipsDrawMatchesDerivedStreams(t *testing.T) {
+	m := Default()
+	pl := testPlacement(t)
+	pos := Pos{Name: "B", XMM: 3, YMM: 4}
+	chips := m.Chips(pl, pos, 11)
+	lg := make([]float64, pl.NL.NumCells())
+	rng := stats.NewStream(0)
+	for _, k := range []int{0, 7, 123456} {
+		chips.Draw(lg, k, rng)
+		want := m.SampleChip(pl, pos, stats.DeriveStream(11, fmt.Sprintf("mc/%s/%d", pos.Name, k)))
+		for i := range want {
+			if math.Float64bits(lg[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("chip %d cell %d: %v, want %v", k, i, lg[i], want[i])
+			}
+		}
+	}
+}
+
+// TestChipDrawAndScaleAllocFree guards the Monte Carlo hot path: one
+// sample's draw plus delay scaling into reused buffers allocates
+// nothing.
+func TestChipDrawAndScaleAllocFree(t *testing.T) {
+	m := Default()
+	pl := testPlacement(t)
+	tech := cell.DefaultTech()
+	n := pl.NL.NumCells()
+	chips := m.Chips(pl, Pos{Name: "r12c34"}, 1)
+	lg := make([]float64, n)
+	scale := make([]float64, n)
+	derate := make([]float64, n)
+	doms := make([]cell.Domain, n)
+	for i := range derate {
+		derate[i] = 0.95
+		if i < n/2 {
+			doms[i] = cell.DomainHigh
+		}
+	}
+	rng := stats.NewStream(0)
+	k := 1 << 20
+	allocs := testing.AllocsPerRun(20, func() {
+		chips.Draw(lg, k, rng)
+		tech.ScaleInto(scale, lg, derate, doms)
+		k++
+	})
+	if allocs != 0 {
+		t.Fatalf("draw + scale allocated %v times per sample, want 0", allocs)
+	}
 }

@@ -184,6 +184,9 @@ func (p Plan) Validate() error {
 		if ov.RMM <= 0 {
 			return flowerr.BadInputf("yield: overlay at %q needs a positive radius, got %g", ov.Pos, ov.RMM)
 		}
+		if !variation.ValidDeltaFrac(ov.DeltaFrac) {
+			return flowerr.BadInputf("yield: overlay at %q delta_frac %g must exceed %g", ov.Pos, ov.DeltaFrac, variation.DeltaFracFloor)
+		}
 	}
 	return nil
 }

@@ -117,6 +117,8 @@ func TestPlanValidate(t *testing.T) {
 			Overlays: []PosOverlay{{Pos: "r0c0", RMM: 1}, {Pos: "r0c0", RMM: 2}}}, // dup overlay
 		{Grid: Grid{4, 4}, Samples: 100, Shards: 4,
 			Overlays: []PosOverlay{{Pos: "r0c0", RMM: 0}}}, // zero radius
+		{Grid: Grid{4, 4}, Samples: 100, Shards: 4,
+			Overlays: []PosOverlay{{Pos: "r0c0", RMM: 1, DeltaFrac: -1.5}}}, // gate length collapses
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

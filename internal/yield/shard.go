@@ -2,7 +2,6 @@ package yield
 
 import (
 	"context"
-	"fmt"
 
 	"vipipe/internal/cell"
 	"vipipe/internal/flowerr"
@@ -35,10 +34,9 @@ type ShardInput struct {
 	Key string
 	// Shard is the shard index (attribution only).
 	Shard int
-	// Start and Count are the global sample range (ShardRange).
-	// Sample k draws from the stream "mc/<pos>/<k>" — the exact
-	// stream mc.Run uses — so shard statistics are invariant under
-	// re-sharding and bit-compatible with the A-D characterizations.
+	// Start and Count are the global sample range (ShardRange):
+	// sample k is chip k of variation.Chips, so shard statistics are
+	// invariant under re-sharding.
 	Start int
 	Count int
 	// Seed is the root seed the per-sample streams derive from.
@@ -52,10 +50,8 @@ type ShardInput struct {
 }
 
 // ComputeShard runs the shard's Monte Carlo samples through the
-// kernel and folds them into a ShardStat. The per-sample recipe —
-// stream derivation, gate-length draws, delay scaling, endpoint
-// arithmetic — replicates mc.Run sample for sample, so a one-shard
-// sweep reproduces mc.Run's critical-path distribution bit-for-bit.
+// kernel and folds them into a ShardStat. Each sample draws its chip
+// through variation.Chips and scales it with cell.Tech.ScaleInto.
 //
 // Cancellation is checked at every sample boundary; a cancelled shard
 // returns an error rather than a partial stat, because merge
@@ -76,21 +72,13 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 	span.SetAttr("shard", in.Shard)
 	span.SetAttr("samples", in.Count)
 
-	// Per-shard invariants, hoisted out of the sample loop: the
-	// systematic gate-length map at this position (the random draw
-	// adds onto it with the same float ops SampleChip uses) and the
-	// fixed-supply delay scaler.
-	sysNM := make([]float64, n)
-	for i := 0; i < n; i++ {
-		cx, cy := in.PL.Center(i)
-		sysNM[i] = in.Model.SystematicLgateNM(in.Pos.XMM+cx/1000, in.Pos.YMM+cy/1000)
-	}
-	scaler := in.Tech.DelayScaler(in.Tech.VddLow)
-	sigma := in.Model.RndSigmaNM()
+	chips := in.Model.Chips(in.PL, in.Pos, in.Seed)
 
-	// The overlay's dirty set: cells inside the disc, chip-local mm.
+	// The overlay's dirty set: cells inside the disc, chip-local mm,
+	// re-priced one by one at the excursed gate length.
 	var dirty []int
 	deltaNM := 0.0
+	scaler := in.Tech.DelayScaler(in.Tech.VddLow)
 	if in.Overlay != nil {
 		deltaNM = in.Model.LnomNM * in.Overlay.DeltaFrac
 		r2 := in.Overlay.RMM * in.Overlay.RMM
@@ -118,23 +106,15 @@ func ComputeShard(ctx context.Context, in ShardInput) (*ShardStat, error) {
 
 	lg := make([]float64, n)
 	scale := make([]float64, n)
+	rng := stats.NewStream(0)
 	for k := in.Start; k < in.Start+in.Count; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, flowerr.Cancelledf(
 				"yield: shard %s/%d cancelled after %d/%d samples: %w",
 				in.Pos.Name, in.Shard, stat.Samples, in.Count, err)
 		}
-		rng := stats.DeriveStream(in.Seed, fmt.Sprintf("mc/%s/%d", in.Pos.Name, k))
-		for i := 0; i < n; i++ {
-			lg[i] = sysNM[i] + rng.Normal(0, sigma)
-		}
-		for i := 0; i < n; i++ {
-			s := scaler(lg[i])
-			if in.Derate != nil {
-				s *= in.Derate[i]
-			}
-			scale[i] = s
-		}
+		chips.Draw(lg, k, rng)
+		in.Tech.ScaleInto(scale, lg, in.Derate, nil)
 		crit := in.Kernel.Run(in.ClockPS, scale)
 		stat.Samples++
 		stat.Crit.Observe(crit)

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"vipipe/internal/cell"
+	"vipipe/internal/flowerr"
 	"vipipe/internal/netlist"
 	"vipipe/internal/pipeline"
 	"vipipe/internal/place"
@@ -97,8 +98,12 @@ func nominalShifterPS(lib *cell.Library) float64 {
 // overlay excursion on the systematic gate lengths — and times it
 // exactly, so its answer carries BoundPS = 0, Exact = true. Shifter
 // estimates are composition-only: an out-of-domain query with
-// Shifters set reports the exact answer with zero crossings.
+// Shifters set reports the exact answer with zero crossings. An overlay
+// excursion at or below variation.DeltaFracFloor is bad input.
 func EvalWhatIf(cfg Config, tm *Timing, part *vi.Partition, m *tmodel.Model, pos variation.Pos, q tmodel.Query) (tmodel.Answer, error) {
+	if q.Overlay != nil && !variation.ValidDeltaFrac(q.Overlay.DeltaFrac) {
+		return tmodel.Answer{}, flowerr.BadInputf("vipipe: overlay delta_frac %g must exceed %g", q.Overlay.DeltaFrac, variation.DeltaFracFloor)
+	}
 	ans, err := m.Eval(q)
 	if err == nil {
 		return ans, nil
@@ -113,38 +118,19 @@ func EvalWhatIf(cfg Config, tm *Timing, part *vi.Partition, m *tmodel.Model, pos
 func exactWhatIf(cfg Config, tm *Timing, part *vi.Partition, pos variation.Pos, q tmodel.Query) (tmodel.Answer, error) {
 	a := tm.STA
 	nl, pl := a.NL, a.PL
-	n := nl.NumCells()
 	lg := systematicLgate(cfg.Model, nl, pl, pos)
-	tech := &nl.Lib.Tech
-	loScale := tech.DelayScaler(tech.VddLow)
-	hiScale := tech.DelayScaler(tech.VddHigh)
-	var deltaNM, r2 float64
-	if q.Overlay != nil {
-		deltaNM = cfg.Model.LnomNM * q.Overlay.DeltaFrac
-		r2 = q.Overlay.RMM * q.Overlay.RMM
-	}
-	scale := make([]float64, n)
-	for i := 0; i < n; i++ {
-		lgi := lg[i]
-		if q.Overlay != nil {
+	if ov := q.Overlay; ov != nil {
+		deltaNM := cfg.Model.LnomNM * ov.DeltaFrac
+		for i := range lg {
 			cx, cy := pl.Center(i)
-			dx := cx/1000 - q.Overlay.XMM
-			dy := cy/1000 - q.Overlay.YMM
-			if dx*dx+dy*dy <= r2 {
-				lgi += deltaNM
+			dx, dy := cx/1000-ov.XMM, cy/1000-ov.YMM
+			if dx*dx+dy*dy <= ov.RMM*ov.RMM {
+				lg[i] += deltaNM
 			}
 		}
-		var s float64
-		if int(part.Region[i]) <= q.Raise {
-			s = hiScale(lgi)
-		} else {
-			s = loScale(lgi)
-		}
-		if tm.Derate != nil {
-			s *= tm.Derate[i]
-		}
-		scale[i] = s
 	}
+	scale := make([]float64, nl.NumCells())
+	nl.Lib.Tech.ScaleInto(scale, lg, tm.Derate, part.Domains(q.Raise))
 	kern := sta.NewKernel(a)
 	frame := &sta.Frame{}
 	kern.RunFrame(frame, tm.ClockPS, scale)

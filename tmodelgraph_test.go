@@ -3,12 +3,15 @@ package vipipe
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"vipipe/internal/flowerr"
 	"vipipe/internal/pipeline"
 	"vipipe/internal/sta"
 	"vipipe/internal/tmodel"
+	"vipipe/internal/variation"
 	"vipipe/internal/vi"
 )
 
@@ -203,5 +206,23 @@ func TestTimingModelPersistsToDisk(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("disk round-trip is not byte-identical")
+	}
+}
+
+// TestWhatIfRejectsCollapsingOverlay checks that an overlay excursion
+// at or below variation.DeltaFracFloor is an input error, not a
+// non-finite answer.
+func TestWhatIfRejectsCollapsingOverlay(t *testing.T) {
+	f := New(TestConfig())
+	pos, err := f.Position("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, df := range []float64{-1.5, variation.DeltaFracFloor, math.NaN()} {
+		q := tmodel.Query{Overlay: &tmodel.Disc{XMM: 0.1, YMM: 0.1, RMM: 5, DeltaFrac: df}}
+		ans, err := f.WhatIf(context.Background(), vi.Vertical, pos, q)
+		if !errors.Is(err, flowerr.ErrBadInput) {
+			t.Errorf("delta_frac %g: err %v (answer crit %g, fmax %g), want bad input", df, err, ans.CritPS, ans.FmaxMHz)
+		}
 	}
 }
